@@ -160,25 +160,46 @@ let scan_candidates ctx ~loads ~add_cand cands =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Multi-round greedy (one more waypoint per round)                    *)
+(* Scan skip and pruning, shared by both greedies                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Pruned candidate-list construction, shared by both greedies: the
-   exact residual-MLU bound first (an empty scan is provably identical
-   to scanning and rejecting every candidate), then the preprocessing
-   pass's per-pair list.  [full] is the size the unpruned list would
-   have had; the difference feeds the effectiveness counters.  All of
-   this runs on the orchestrating domain, so pruned runs keep the
-   bit-identical-across-jobs guarantee. *)
-let pruned_cands ctx p ~loads ~u_min ~src ~dst ~full ~wrap =
-  let cands =
-    if Prune.scan_skippable p ~loads ~u_min then [||]
-    else wrap (Prune.candidates p ~src ~dst)
-  in
+(* The exact residual-MLU scan skip: [loads]
+   has the visited demand's own segments removed, and every candidate
+   only adds nonnegative load back, so no candidate's utilization can
+   fall below the residual MLU.  When that already fails the greedy's
+   strict-improvement test, the scan (and building its candidate list)
+   is provably identical to scanning and rejecting every candidate.
+   The check runs on the orchestrating domain, so skips are the same
+   for every pool size. *)
+let scan_skippable g loads ~u_min =
+  Engine.Evaluator.mlu_of_loads g loads >= u_min -. 1e-12
+
+(* The preprocessing pass, unless the spec is a documented no-op (the
+   full candidate list), in which case the run is exactly unpruned. *)
+let prepare_pruner octx prune ~nodes ev demands =
+  match prune with
+  | Some spec when not (Prune.is_no_op spec ~nodes) ->
+    Some (Prune.prepare octx spec ev demands)
+  | _ -> None
+
+(* Pruned candidate-list construction: the preprocessing pass's per-pair
+   list.  [full] is the size the unpruned list would have had; the
+   difference feeds the effectiveness counters.  Skipped scans never
+   get here, so they count as neither pruned nor kept. *)
+let pruned_cands ctx p ~src ~dst ~full ~wrap =
+  let cands = wrap (Prune.candidates p ~src ~dst) in
   Engine.Stats.record_pruning ctx.main_stats
     ~pruned:(max 0 (full - Array.length cands))
     ~kept:(Array.length cands);
   cands
+
+let record_scans (octx : Obs.Ctx.t) ~scans ~skipped =
+  Obs.Metrics.incr octx.Obs.Ctx.metrics ~by:scans "wpo.scans";
+  Obs.Metrics.incr octx.Obs.Ctx.metrics ~by:skipped "wpo.scans_skipped"
+
+(* ------------------------------------------------------------------ *)
+(* Multi-round greedy (one more waypoint per round)                    *)
+(* ------------------------------------------------------------------ *)
 
 let optimize_multi_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?prune ~rounds g
     weights demands =
@@ -198,11 +219,12 @@ let optimize_multi_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?prune ~rounds g
     with Engine.Evaluator.Unroutable (s, t) -> raise (Ecmp.Unroutable (s, t))
   in
   let ctx = make_ctx ~tracer ~clones:octx.Obs.Ctx.clones pool ev in
-  let pruner = Option.map (fun s -> Prune.prepare octx s ev demands) prune in
+  let pruner = prepare_pruner octx prune ~nodes:n ev demands in
   let setting = Array.make (Array.length demands) [] in
   let indices = order_indices order demands in
   let u_min = ref (Engine.Evaluator.mlu_of_loads g loads) in
   let round_mlu = ref [] in
+  let scans = ref 0 and skipped = ref 0 in
   for round = 1 to rounds do
     let round_tok = Obs.Tracer.start tracer "wpo:round" in
     Obs.Tracer.attr tracer round_tok (Obs.Attr.int "round" round);
@@ -217,35 +239,44 @@ let optimize_multi_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?prune ~rounds g
         in
         if anchor <> d.Network.dst then begin
           add anchor d.Network.dst (-.size) loads;
-          let cands =
-            match pruner with
-            | None ->
-              let ways = ref [] in
-              for w = n - 1 downto 0 do
-                if w <> anchor && w <> d.Network.dst then ways := Way w :: !ways
-              done;
-              Array.of_list !ways
-            | Some p ->
-              pruned_cands ctx p ~loads ~u_min:!u_min ~src:anchor
-                ~dst:d.Network.dst ~full:(n - 2)
-                ~wrap:(Array.map (fun w -> Way w))
-          in
-          let add_cand ev buf = function
-            | Way w ->
-              Engine.Evaluator.add_unit ev ~src:anchor ~dst:w ~scale:size
-                ~into:buf;
-              Engine.Evaluator.add_unit ev ~src:w ~dst:d.Network.dst
-                ~scale:size ~into:buf
-            | Drop -> assert false
-          in
-          match scan_candidates ctx ~loads ~add_cand cands with
-          | Some (u, j) when u < !u_min -. 1e-12 ->
-            let w = match cands.(j) with Way w -> w | Drop -> assert false in
-            setting.(i) <- setting.(i) @ [ w ];
-            u_min := u;
-            add anchor w size loads;
-            add w d.Network.dst size loads
-          | _ -> add anchor d.Network.dst size loads
+          if scan_skippable g loads ~u_min:!u_min then begin
+            incr skipped;
+            add anchor d.Network.dst size loads
+          end
+          else begin
+            incr scans;
+            let cands =
+              match pruner with
+              | None ->
+                let ways = ref [] in
+                for w = n - 1 downto 0 do
+                  if w <> anchor && w <> d.Network.dst then
+                    ways := Way w :: !ways
+                done;
+                Array.of_list !ways
+              | Some p ->
+                pruned_cands ctx p ~src:anchor ~dst:d.Network.dst
+                  ~full:(n - 2) ~wrap:(Array.map (fun w -> Way w))
+            in
+            let add_cand ev buf = function
+              | Way w ->
+                Engine.Evaluator.add_unit ev ~src:anchor ~dst:w ~scale:size
+                  ~into:buf;
+                Engine.Evaluator.add_unit ev ~src:w ~dst:d.Network.dst
+                  ~scale:size ~into:buf
+              | Drop -> assert false
+            in
+            match scan_candidates ctx ~loads ~add_cand cands with
+            | Some (u, j) when u < !u_min -. 1e-12 ->
+              let w =
+                match cands.(j) with Way w -> w | Drop -> assert false
+              in
+              setting.(i) <- setting.(i) @ [ w ];
+              u_min := u;
+              add anchor w size loads;
+              add w d.Network.dst size loads
+            | _ -> add anchor d.Network.dst size loads
+          end
         end)
       indices;
     let u = Engine.Evaluator.mlu_of_loads g loads in
@@ -254,6 +285,7 @@ let optimize_multi_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?prune ~rounds g
     Obs.Tracer.finish tracer round_tok
   done;
   merge_clone_stats ctx;
+  record_scans octx ~scans:!scans ~skipped:!skipped;
   { setting; mlu = Engine.Evaluator.mlu_of_loads g loads;
     round_mlu = List.rev !round_mlu }
 
@@ -279,11 +311,12 @@ let optimize_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?(passes = 1) ?prune g
     with Engine.Evaluator.Unroutable (s, t) -> raise (Ecmp.Unroutable (s, t))
   in
   let ctx = make_ctx ~tracer ~clones:octx.Obs.Ctx.clones pool ev in
-  let pruner = Option.map (fun s -> Prune.prepare octx s ev demands) prune in
+  let pruner = prepare_pruner octx prune ~nodes:n ev demands in
   let initial_mlu = Engine.Evaluator.mlu_of_loads g loads in
   let waypoints = Array.make (Array.length demands) None in
   let indices = order_indices order demands in
   let u_min = ref initial_mlu in
+  let scans = ref 0 and skipped = ref 0 in
   (* Accumulates [scale] times the segments demand [i] currently loads
      onto the network. *)
   let add_segments i scale =
@@ -306,49 +339,55 @@ let optimize_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?(passes = 1) ?prune g
         let d = demands.(i) in
         let size = d.Network.size in
         add_segments i (-.size);
-        (* On improvement passes, also consider dropping the waypoint. *)
-        let drop = pass > 1 && waypoints.(i) <> None in
-        let cands =
-          match pruner with
-          | None ->
-            let ways = ref [] in
-            for w = n - 1 downto 0 do
-              if w <> d.Network.src && w <> d.Network.dst && Some w <> waypoints.(i)
-              then ways := Way w :: !ways
-            done;
-            if drop then Array.of_list (Drop :: !ways)
-            else Array.of_list !ways
-          | Some p ->
-            let full =
-              n - 2
-              - (if waypoints.(i) <> None then 1 else 0)
-              + (if drop then 1 else 0)
-            in
-            pruned_cands ctx p ~loads ~u_min:!u_min ~src:d.Network.src
-              ~dst:d.Network.dst ~full ~wrap:(fun ws ->
-                let ways = ref [] in
-                for j = Array.length ws - 1 downto 0 do
-                  if Some ws.(j) <> waypoints.(i) then
-                    ways := Way ws.(j) :: !ways
-                done;
-                if drop then Array.of_list (Drop :: !ways)
-                else Array.of_list !ways)
-        in
-        let add_cand ev buf = function
-          | Drop ->
-            Engine.Evaluator.add_unit ev ~src:d.Network.src ~dst:d.Network.dst
-              ~scale:size ~into:buf
-          | Way w ->
-            Engine.Evaluator.add_unit ev ~src:d.Network.src ~dst:w ~scale:size
-              ~into:buf;
-            Engine.Evaluator.add_unit ev ~src:w ~dst:d.Network.dst ~scale:size
-              ~into:buf
-        in
-        (match scan_candidates ctx ~loads ~add_cand cands with
-        | Some (u, j) when u < !u_min -. 1e-12 ->
-          waypoints.(i) <-
-            (match cands.(j) with Drop -> None | Way w -> Some w)
-        | _ -> ());
+        if scan_skippable g loads ~u_min:!u_min then incr skipped
+        else begin
+          incr scans;
+          (* On improvement passes, also consider dropping the waypoint. *)
+          let drop = pass > 1 && waypoints.(i) <> None in
+          let cands =
+            match pruner with
+            | None ->
+              let ways = ref [] in
+              for w = n - 1 downto 0 do
+                if
+                  w <> d.Network.src && w <> d.Network.dst
+                  && Some w <> waypoints.(i)
+                then ways := Way w :: !ways
+              done;
+              if drop then Array.of_list (Drop :: !ways)
+              else Array.of_list !ways
+            | Some p ->
+              let full =
+                n - 2
+                - (if waypoints.(i) <> None then 1 else 0)
+                + if drop then 1 else 0
+              in
+              pruned_cands ctx p ~src:d.Network.src ~dst:d.Network.dst ~full
+                ~wrap:(fun ws ->
+                  let ways = ref [] in
+                  for j = Array.length ws - 1 downto 0 do
+                    if Some ws.(j) <> waypoints.(i) then
+                      ways := Way ws.(j) :: !ways
+                  done;
+                  if drop then Array.of_list (Drop :: !ways)
+                  else Array.of_list !ways)
+          in
+          let add_cand ev buf = function
+            | Drop ->
+              Engine.Evaluator.add_unit ev ~src:d.Network.src
+                ~dst:d.Network.dst ~scale:size ~into:buf
+            | Way w ->
+              Engine.Evaluator.add_unit ev ~src:d.Network.src ~dst:w
+                ~scale:size ~into:buf;
+              Engine.Evaluator.add_unit ev ~src:w ~dst:d.Network.dst
+                ~scale:size ~into:buf
+          in
+          match scan_candidates ctx ~loads ~add_cand cands with
+          | Some (u, j) when u < !u_min -. 1e-12 ->
+            waypoints.(i) <-
+              (match cands.(j) with Drop -> None | Way w -> Some w)
+          | _ -> ()
+        end;
         add_segments i size;
         u_min := Engine.Evaluator.mlu_of_loads g loads)
       indices;
@@ -356,5 +395,6 @@ let optimize_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?(passes = 1) ?prune g
     Obs.Tracer.finish tracer pass_tok
   done;
   merge_clone_stats ctx;
+  record_scans octx ~scans:!scans ~skipped:!skipped;
   let final_mlu = Engine.Evaluator.mlu_of_loads g loads in
   { waypoints; mlu = final_mlu; initial_mlu }

@@ -4,7 +4,16 @@
     Demands are visited in descending size order (the paper's order; the
     alternatives are exposed for the ablation bench).  For each demand
     every node is tried as its single waypoint, and the assignment is
-    kept when it strictly improves the running MLU. *)
+    kept when it strictly improves the running MLU.
+
+    Both greedies apply an {b exact scan skip} to every demand visit:
+    with the demand's own flow removed, the residual MLU is a lower
+    bound on every candidate's utilization (a candidate only adds load
+    back), so when it already fails the strict-improvement test the
+    scan is skipped, candidate list included, with zero effect on the
+    result.  The check runs on the orchestrating domain, so skips do not
+    depend on the pool size.  The context's metrics count scans run
+    ([wpo.scans]) and skipped ([wpo.scans_skipped]). *)
 
 type order = Desc | Asc | Random of int
 
@@ -41,12 +50,12 @@ val optimize_ctx :
 
     [prune] (default off: all results byte-identical to previous
     releases) runs the {!Prune} preprocessing pass once up front and
-    scans only each demand's pruned candidate list; scans that the
-    exact residual-MLU bound proves fruitless are skipped entirely.
-    The effectiveness lands in the [candidates_pruned] /
-    [candidates_kept] stats counters, and candidate lists are built on
-    the orchestrating domain, so pruned runs stay bit-identical across
-    pool sizes too.
+    scans only each demand's pruned candidate list; a no-op spec
+    ({!Prune.is_no_op}) skips the pass and runs unpruned.  The
+    effectiveness lands in the [candidates_pruned] / [candidates_kept]
+    stats counters (skipped scans count as neither), and candidate
+    lists are built on the orchestrating domain, so pruned runs stay
+    bit-identical across pool sizes too.
     @raise Ecmp.Unroutable if a demand itself is unroutable (candidate
     waypoints that would make a segment unroutable are skipped). *)
 

@@ -11,6 +11,8 @@ let spec ?(mode = Centrality) ?(threshold = 0.) k =
   if threshold < 0. then invalid_arg "Prune.spec: threshold >= 0";
   { mode; k; threshold }
 
+let is_no_op spec ~nodes = spec.k >= nodes && spec.mode <> Reach
+
 let mode_name = function
   | Centrality -> "centrality"
   | Coverage -> "coverage"
@@ -27,10 +29,7 @@ let mode_of_string = function
 
 type t = {
   spec : spec;
-  g : Digraph.t;
   ev : Engine.Evaluator.t;
-  n : int;
-  no_op : bool;
   mlu0 : float; (* MLU of the prepare-time loads *)
   util : float array; (* prepare-time per-edge utilization *)
   pool : int array; (* middlepoint pool, best score first *)
@@ -86,122 +85,118 @@ let prepare (octx : Obs.Ctx.t) spec ev demands =
   let loads = Engine.Evaluator.loads ev in
   let util = Array.init m (fun e -> loads.(e) /. caps.(e)) in
   let mlu0 = Engine.Evaluator.mlu_of_loads g loads in
-  let no_op = spec.k >= n && spec.mode <> Reach in
   let t =
-    { spec; g; ev; n; no_op; mlu0; util; pool = [||];
+    { spec; ev; mlu0; util; pool = [||];
       nf = Array.make n 0.; u_dir = Hashtbl.create 64;
       memo = Hashtbl.create 64 }
   in
   let pool =
-    if no_op then Array.init n Fun.id
-    else begin
-      (* Aggregate demands into distinct (src, dst) pairs, first-seen
-         order, so duplicate pairs are scored once with summed size. *)
-      let sizes = Hashtbl.create 64 in
-      let keys = ref [] in
-      Array.iter
-        (fun (d : Network.demand) ->
-          let key = (d.Network.src, d.Network.dst) in
-          match Hashtbl.find_opt sizes key with
-          | Some s -> Hashtbl.replace sizes key (s +. d.Network.size)
-          | None ->
-            Hashtbl.add sizes key d.Network.size;
-            keys := key :: !keys)
-        demands;
-      let pairs =
-        Array.of_list
-          (List.rev_map (fun (s, d) -> (s, d, Hashtbl.find sizes (s, d)))
-             !keys)
-      in
-      let npairs = Array.length pairs in
-      (* ECMP-betweenness scores off the cached destination DAGs.  The
-         coverage variant needs every pair's throughflow row; centrality
-         and reach only need the running sum. *)
-      let keep_rows = spec.mode = Coverage in
-      let rows = if keep_rows then Array.make npairs [||] else [||] in
-      let weight = Array.make npairs 0. in
-      let score = Array.make n 0. in
-      Array.iteri
-        (fun p (src, dst, size) ->
-          match Engine.Evaluator.node_flows ev ~src ~dst ~into:t.nf with
-          | exception Engine.Evaluator.Unroutable _ -> ()
-          | () ->
-            let w_p =
-              match spec.mode with
-              | Coverage ->
-                (* Focus the pool on bottleneck-crossing flow: weight
-                   each pair by how hot its direct route runs. *)
-                size *. Float.max 0. (direct_hotness t ~src ~dst)
-              | Centrality | Reach -> size
-            in
-            weight.(p) <- w_p;
-            for w = 0 to n - 1 do
-              if w <> src && w <> dst then
-                score.(w) <- score.(w) +. (w_p *. t.nf.(w))
-            done;
-            if keep_rows then rows.(p) <- Array.copy t.nf)
-        pairs;
-      let by_score = Array.init n Fun.id in
-      sort_by_score score by_score;
-      match spec.mode with
-      | Reach -> by_score (* no pool restriction; order feeds the cap *)
-      | Centrality -> Array.sub by_score 0 (min spec.k n)
-      | Coverage ->
-        (* Greedy marginal coverage: each pick is the node adding the
-           most not-yet-covered demand-weighted throughflow, so nodes
-           sitting on the same bottleneck paths as earlier picks are
-           penalized by exactly the flow those picks already cover. *)
-        let k = min spec.k n in
-        let chosen = Array.make n false in
-        let covered = Array.make npairs 0. in
-        let picks = ref [] and npicks = ref 0 in
-        (try
-           while !npicks < k do
-             let best = ref (-1) and best_gain = ref 0. in
-             for w = 0 to n - 1 do
-               if not chosen.(w) then begin
-                 let gain = ref 0. in
-                 for p = 0 to npairs - 1 do
-                   if weight.(p) > 0. && Array.length rows.(p) = n then begin
-                     let src, dst, _ = pairs.(p) in
-                     if w <> src && w <> dst then
-                       gain :=
-                         !gain
-                         +. weight.(p)
-                            *. Float.min rows.(p).(w) (1. -. covered.(p))
-                   end
-                 done;
-                 if !gain > !best_gain then begin
-                   best_gain := !gain;
-                   best := w
+    (* Aggregate demands into distinct (src, dst) pairs, first-seen
+       order, so duplicate pairs are scored once with summed size. *)
+    let sizes = Hashtbl.create 64 in
+    let keys = ref [] in
+    Array.iter
+      (fun (d : Network.demand) ->
+        let key = (d.Network.src, d.Network.dst) in
+        match Hashtbl.find_opt sizes key with
+        | Some s -> Hashtbl.replace sizes key (s +. d.Network.size)
+        | None ->
+          Hashtbl.add sizes key d.Network.size;
+          keys := key :: !keys)
+      demands;
+    let pairs =
+      Array.of_list
+        (List.rev_map (fun (s, d) -> (s, d, Hashtbl.find sizes (s, d)))
+           !keys)
+    in
+    let npairs = Array.length pairs in
+    (* ECMP-betweenness scores off the cached destination DAGs.  The
+       coverage variant needs every pair's throughflow row; centrality
+       and reach only need the running sum. *)
+    let keep_rows = spec.mode = Coverage in
+    let rows = if keep_rows then Array.make npairs [||] else [||] in
+    let weight = Array.make npairs 0. in
+    let score = Array.make n 0. in
+    Array.iteri
+      (fun p (src, dst, size) ->
+        match Engine.Evaluator.node_flows ev ~src ~dst ~into:t.nf with
+        | exception Engine.Evaluator.Unroutable _ -> ()
+        | () ->
+          let w_p =
+            match spec.mode with
+            | Coverage ->
+              (* Focus the pool on bottleneck-crossing flow: weight
+                 each pair by how hot its direct route runs. *)
+              size *. Float.max 0. (direct_hotness t ~src ~dst)
+            | Centrality | Reach -> size
+          in
+          weight.(p) <- w_p;
+          for w = 0 to n - 1 do
+            if w <> src && w <> dst then
+              score.(w) <- score.(w) +. (w_p *. t.nf.(w))
+          done;
+          if keep_rows then rows.(p) <- Array.copy t.nf)
+      pairs;
+    let by_score = Array.init n Fun.id in
+    sort_by_score score by_score;
+    match spec.mode with
+    | Reach -> by_score (* no pool restriction; order feeds the cap *)
+    | Centrality -> Array.sub by_score 0 (min spec.k n)
+    | Coverage ->
+      (* Greedy marginal coverage: each pick is the node adding the
+         most not-yet-covered demand-weighted throughflow, so nodes
+         sitting on the same bottleneck paths as earlier picks are
+         penalized by exactly the flow those picks already cover. *)
+      let k = min spec.k n in
+      let chosen = Array.make n false in
+      let covered = Array.make npairs 0. in
+      let picks = ref [] and npicks = ref 0 in
+      (try
+         while !npicks < k do
+           let best = ref (-1) and best_gain = ref 0. in
+           for w = 0 to n - 1 do
+             if not chosen.(w) then begin
+               let gain = ref 0. in
+               for p = 0 to npairs - 1 do
+                 if weight.(p) > 0. && Array.length rows.(p) = n then begin
+                   let src, dst, _ = pairs.(p) in
+                   if w <> src && w <> dst then
+                     gain :=
+                       !gain
+                       +. weight.(p)
+                          *. Float.min rows.(p).(w) (1. -. covered.(p))
                  end
+               done;
+               if !gain > !best_gain then begin
+                 best_gain := !gain;
+                 best := w
                end
-             done;
-             if !best < 0 then raise Exit;
-             chosen.(!best) <- true;
-             picks := !best :: !picks;
-             incr npicks;
-             for p = 0 to npairs - 1 do
-               if weight.(p) > 0. && Array.length rows.(p) = n then begin
-                 let src, dst, _ = pairs.(p) in
-                 if !best <> src && !best <> dst then
-                   covered.(p) <-
-                     Float.min 1. (covered.(p) +. rows.(p).(!best))
-               end
-             done
+             end
+           done;
+           if !best < 0 then raise Exit;
+           chosen.(!best) <- true;
+           picks := !best :: !picks;
+           incr npicks;
+           for p = 0 to npairs - 1 do
+             if weight.(p) > 0. && Array.length rows.(p) = n then begin
+               let src, dst, _ = pairs.(p) in
+               if !best <> src && !best <> dst then
+                 covered.(p) <-
+                   Float.min 1. (covered.(p) +. rows.(p).(!best))
+             end
            done
-         with Exit -> ());
-        (* Marginal gains exhausted before k picks: pad from the plain
-           centrality order so the pool size is still min k n. *)
-        let picks = Array.of_list (List.rev !picks) in
-        let pad = ref [] in
-        Array.iter
-          (fun w ->
-            if (not chosen.(w)) && Array.length picks + List.length !pad < k
-            then pad := w :: !pad)
-          by_score;
-        Array.append picks (Array.of_list (List.rev !pad))
-    end
+         done
+       with Exit -> ());
+      (* Marginal gains exhausted before k picks: pad from the plain
+         centrality order so the pool size is still min k n. *)
+      let picks = Array.of_list (List.rev !picks) in
+      let pad = ref [] in
+      Array.iter
+        (fun w ->
+          if (not chosen.(w)) && Array.length picks + List.length !pad < k
+          then pad := w :: !pad)
+        by_score;
+      Array.append picks (Array.of_list (List.rev !pad))
   in
   let t = { t with pool } in
   Obs.Tracer.attr tracer tok (Obs.Attr.str "mode" (mode_name spec.mode));
@@ -212,23 +207,12 @@ let prepare (octx : Obs.Ctx.t) spec ev demands =
 
 let pool t = Array.copy t.pool
 
-let no_op t = t.no_op
-
 let candidates t ~src ~dst =
   match Hashtbl.find_opt t.memo (src, dst) with
   | Some c -> c
   | None ->
     let c =
-      if t.no_op then begin
-        (* The documented no-op: the full candidate list in the exact
-           ascending order the unpruned scan builds. *)
-        let ws = ref [] in
-        for w = t.n - 1 downto 0 do
-          if w <> src && w <> dst then ws := w :: !ws
-        done;
-        Array.of_list !ws
-      end
-      else if
+      if
         t.spec.mode = Reach && t.spec.threshold > 0.
         && direct_hotness t ~src ~dst < t.spec.threshold *. t.mlu0
       then [||] (* cold direct route: rerouting cannot lower the max *)
@@ -256,6 +240,3 @@ let candidates t ~src ~dst =
     in
     Hashtbl.add t.memo (src, dst) c;
     c
-
-let scan_skippable t ~loads ~u_min =
-  Engine.Evaluator.mlu_of_loads t.g loads >= u_min -. 1e-12

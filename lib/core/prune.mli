@@ -23,21 +23,20 @@
        ECMP split), [Reach] mode additionally empties the list of
        commodities whose direct route touches no edge hotter than
        [threshold] times the initial MLU, and the surviving list is
-       capped at [k];}
-    {- an {b exact scan skip}: with the commodity's own flow removed,
-       the residual MLU is a lower bound on every candidate's
-       utilization, so when it already fails the greedy's strict
-       improvement test the whole scan is skipped with zero effect on
-       the result.}}
+       capped at [k].}}
+
+    This pass only restricts candidates; the exact residual-MLU skip of
+    whole scans is part of the greedy itself ({!Greedy_wpo}) and runs
+    with or without pruning.
 
     Pruning is off by default everywhere ([?prune = None]); every
     solver's output without it is byte-identical to previous releases.
-    With [k >= n] in [Centrality]/[Coverage] mode the pass is a
-    documented no-op — the full ascending candidate list — so unpruned
-    results are reproduced byte-identically (asserted by the test
-    suite).  All candidate lists are built by the orchestrating domain
-    from one evaluator, so pruned runs keep the bit-identical-across-
-    [--jobs] guarantee. *)
+    A spec with [k >= n] in [Centrality]/[Coverage] mode is a
+    documented no-op ({!is_no_op}): the solvers then never call
+    {!prepare} and reproduce the unpruned results byte-identically
+    (asserted by the test suite).  All candidate lists are built by the
+    orchestrating domain from one evaluator, so pruned runs keep the
+    bit-identical-across-[--jobs] guarantee. *)
 
 type mode =
   | Centrality  (** top-k pool by ECMP-betweenness score *)
@@ -64,6 +63,11 @@ val spec : ?mode:mode -> ?threshold:float -> int -> spec
 (** [spec k] with mode [Centrality] and threshold [0.].
     @raise Invalid_argument if [k < 1] or [threshold < 0]. *)
 
+val is_no_op : spec -> nodes:int -> bool
+(** [true] when [spec] cannot restrict anything on a graph of [nodes]
+    nodes ([k >= nodes] in [Centrality]/[Coverage] mode): solvers skip
+    the pass entirely and run unpruned. *)
+
 val mode_name : mode -> string
 
 val mode_of_string : string -> (mode, string) result
@@ -86,21 +90,8 @@ val prepare :
 val pool : t -> int array
 (** The global middlepoint pool, best score first (a copy). *)
 
-val no_op : t -> bool
-(** [true] when the spec guarantees byte-identical results
-    ([k >= n] in [Centrality]/[Coverage] mode): {!candidates} then
-    returns the full ascending list and only the exact scan skip
-    remains active. *)
-
 val candidates : t -> src:int -> dst:int -> int array
 (** The pruned waypoint candidates for segment [(src, dst)], best score
     first, endpoints excluded, capped at [spec.k] (memoized per pair; do
     not mutate).  Multi-round greedies pass the current segment anchor
     as [src]. *)
-
-val scan_skippable : t -> loads:float array -> u_min:float -> bool
-(** The exact residual bound: [loads] must be the per-edge loads with
-    the commodity under scan already removed.  When the residual MLU is
-    [>= u_min -. 1e-12], no candidate (each only adds load) can pass the
-    greedy's strict improvement test, so skipping the scan cannot change
-    the result. *)

@@ -20,17 +20,18 @@ let solve_ctx (octx : Obs.Ctx.t) ?(max_nodes = 50_000) ?candidates
     match candidates with Some c -> c | None -> List.init n Fun.id
   in
   (* The preprocessing pass restricts each demand's waypoint universe
-     before any z variable is created, shrinking the MILP itself. *)
+     before any z variable is created, shrinking the MILP itself.  A
+     no-op spec skips the pass: the MILP is then exactly unpruned. *)
   let pruner =
-    Option.map
-      (fun spec ->
-        let ev =
-          Engine.Evaluator.create ~stats:octx.Obs.Ctx.stats
-            ~probe:(Obs.Ctx.probe octx) g weights
-        in
-        Engine.Evaluator.set_commodities ev (Network.to_commodities demands);
-        Prune.prepare octx spec ev demands)
-      prune
+    match prune with
+    | Some spec when not (Prune.is_no_op spec ~nodes:n) ->
+      let ev =
+        Engine.Evaluator.create ~stats:octx.Obs.Ctx.stats
+          ~probe:(Obs.Ctx.probe octx) g weights
+      in
+      Engine.Evaluator.set_commodities ev (Network.to_commodities demands);
+      Some (Prune.prepare octx spec ev demands)
+    | _ -> None
   in
   (* Per demand: the list of options (ordered waypoint sequences of
      length 0..max_waypoints) with their sparse load vectors.  Options

@@ -885,15 +885,19 @@ let compute_unit_into t ur src dst =
 
 (* The miss branch carries the hot_units timer pair; a hit costs no
    clock read (two [Mono.now] calls are comparable to a whole cached
-   lookup). *)
+   lookup).  A miss may build the destination's DAG, which lands in
+   hot_spf_full, so that share is taken back out of hot_units. *)
 let unit_entry t ur src dst =
   if ur.u_stamp.(src) = ur.u_gen then
     t.stats.Stats.unit_hits <- t.stats.Stats.unit_hits + 1
   else begin
+    let ht = Stats.hot_times t.stats in
+    let spf0 = ht.(Stats.hot_spf_full) in
     let t0 = Mono.now () in
     compute_unit_into t ur src dst;
-    let ht = Stats.hot_times t.stats in
-    ht.(Stats.hot_units) <- ht.(Stats.hot_units) +. (Mono.now () -. t0)
+    ht.(Stats.hot_units) <-
+      ht.(Stats.hot_units) +. (Mono.now () -. t0)
+      -. (ht.(Stats.hot_spf_full) -. spf0)
   end
 
 let unit_load t ~src ~dst =
@@ -960,6 +964,8 @@ let dest_contribution t dest =
   let dl = t.dest_loads.(dest) in
   if dl != no_fvec then dl
   else begin
+    let ht = Stats.hot_times t.stats in
+    let spf0 = ht.(Stats.hot_spf_full) in
     let t0 = Mono.now () in
     let dl = fvec_alloc t in
     let v = dl.fv in
@@ -979,13 +985,18 @@ let dest_contribution t dest =
       done
     done;
     t.dest_loads.(dest) <- dl;
-    let ht = Stats.hot_times t.stats in
-    ht.(Stats.hot_units) <- ht.(Stats.hot_units) +. (Mono.now () -. t0);
+    ht.(Stats.hot_units) <-
+      ht.(Stats.hot_units) +. (Mono.now () -. t0)
+      -. (ht.(Stats.hot_spf_full) -. spf0);
     dl
   end
 
+(* hot_loads keeps only the summation: the per-destination rebuilds
+   nested in it are already accounted to hot_units / hot_spf_full. *)
 let loads t =
   if not t.loads_valid then begin
+    let ht = Stats.hot_times t.stats in
+    let inner0 = ht.(Stats.hot_units) +. ht.(Stats.hot_spf_full) in
     let t0 = Mono.now () in
     (* Re-summing cached per-destination vectors in a fixed order keeps
        the aggregate deterministic and drift-free across long
@@ -1002,8 +1013,9 @@ let loads t =
       done
     done;
     t.loads_valid <- true;
-    let ht = Stats.hot_times t.stats in
-    ht.(Stats.hot_loads) <- ht.(Stats.hot_loads) +. (Mono.now () -. t0)
+    ht.(Stats.hot_loads) <-
+      ht.(Stats.hot_loads) +. (Mono.now () -. t0)
+      -. (ht.(Stats.hot_units) +. ht.(Stats.hot_spf_full) -. inner0)
   end;
   t.loads_buf
 

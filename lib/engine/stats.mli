@@ -48,8 +48,8 @@ type t = {
           instrumentation only, never part of a deterministic result) *)
   mutable candidates_pruned : int;
       (** waypoint candidates removed before the scan by a candidate
-          preprocessing pass (pool restriction, per-commodity filters,
-          or the exact residual-MLU scan skip) *)
+          preprocessing pass (pool restriction or per-commodity
+          filters; scans the greedy skips outright are not counted) *)
   mutable candidates_kept : int;
       (** waypoint candidates actually handed to the scan by a pruning
           pass; [kept / (kept + pruned)] is the surviving fraction.
@@ -88,12 +88,28 @@ type t = {
     {[ let ht = Stats.hot_times s in
        ht.(Stats.hot_units) <- ht.(Stats.hot_units) +. dt ]}
     (a float-array store never boxes).  The slots surface in {!timers}
-    under the same names the hashtable path would use. *)
+    under the same names the hashtable path would use.
+
+    The four slots are {b disjoint}: where one timed region runs inside
+    another (a load summation rebuilding a destination's unit flows,
+    which may build that destination's DAG), the inner time is
+    accounted to the inner slot only and subtracted from the outer one.
+    Their sum therefore never exceeds the wall time of the code that
+    ran them. *)
 
 val hot_spf_full : int
+(** Destination DAGs built from scratch. *)
+
 val hot_spf_incr : int
+(** Incremental DAG repairs after a weight change. *)
+
 val hot_units : int
+(** Unit-flow propagation, including a destination's whole
+    load-contribution rebuild (excluding any DAG build inside it). *)
+
 val hot_loads : int
+(** Summing the per-destination contributions into the load vector
+    (excluding the rebuilds of stale contributions). *)
 
 val hot_times : t -> float array
 (** The [hot] array itself (borrowed). *)

@@ -1,8 +1,10 @@
-(* Candidate-pruning smoke: the Prune pass on Germany50 must (1) leave
-   the k = n no-op byte-identical to the unpruned greedy, (2) cut the
-   scanned-candidate count by at least 5x at the default k while staying
-   within 1% of the unpruned objective, and (3) stay bit-identical
-   across pool sizes.  Run with `dune build @prune-smoke'. *)
+(* Candidate-pruning smoke: on Germany50 (1) the unpruned greedy's
+   exact scan skip must leave out at least 90% of its scans, (2) the
+   Prune pass must leave the k = n no-op byte-identical to the unpruned
+   greedy, (3) cut the scanned-candidate count by at least 5x at the
+   default k while staying within 1% of the unpruned objective, and (4)
+   stay bit-identical across pool sizes.  Run with
+   `dune build @prune-smoke'. *)
 
 open Te
 
@@ -23,6 +25,16 @@ let run ?prune ?pool g w demands =
   let ctx = Obs.Ctx.make ~stats ?pool () in
   (Greedy_wpo.optimize_ctx ctx ?prune g w demands, stats)
 
+(* (scans run, scans skipped) of one greedy run. *)
+let scan_counts g w demands ?prune () =
+  let ctx = Obs.Ctx.make () in
+  ignore (Greedy_wpo.optimize_ctx ctx ?prune g w demands);
+  let get name =
+    Option.value ~default:0
+      (List.assoc_opt name (Obs.Metrics.counters ctx.Obs.Ctx.metrics))
+  in
+  (get "wpo.scans", get "wpo.scans_skipped")
+
 let () =
   let g = Topology.Datasets.load "Germany50" in
   let n = Netgraph.Digraph.node_count g in
@@ -35,10 +47,20 @@ let () =
   let w = Weights.inverse_capacity g in
   Printf.printf "prune smoke: Germany50, %d demands\n%!" (Array.length demands);
   let base, base_st = run g w demands in
-  let noop, _ = run ~prune:(Prune.spec n) g w demands in
+  let scans, skipped = scan_counts g w demands () in
+  let skip_frac = float_of_int skipped /. float_of_int (max 1 (scans + skipped)) in
+  Printf.printf "  unpruned: %d scans run, %d skipped (%.1f%%)\n%!" scans skipped
+    (100. *. skip_frac);
+  check "unpruned greedy skips >= 90% of scans" (skip_frac >= 0.9);
+  let noop, noop_st = run ~prune:(Prune.spec n) g w demands in
   check "k=n no-op byte-identical"
     (noop.Greedy_wpo.waypoints = base.Greedy_wpo.waypoints
     && noop.Greedy_wpo.mlu = base.Greedy_wpo.mlu);
+  check "k=n no-op runs unpruned"
+    (scan_counts g w demands ~prune:(Prune.spec n) () = (scans, skipped)
+    && noop_st.Engine.Stats.candidates_pruned = 0
+    && noop_st.Engine.Stats.candidates_kept = 0
+    && scanned noop_st = scanned base_st);
   let pruned, pruned_st = run ~prune:(Prune.spec Prune.default_k) g w demands in
   let reduction =
     float_of_int (scanned base_st) /. float_of_int (max 1 (scanned pruned_st))

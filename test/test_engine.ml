@@ -423,6 +423,54 @@ let test_probe_loop_zero_alloc () =
       Alcotest.(check bool) "probe saw finite mlu" true
         (mx.Engine.Evaluator.mlu > 0. && mx.Engine.Evaluator.mlu < infinity)
 
+(* The four hot-phase timers are disjoint: a load summation that
+   rebuilds stale destination contributions (and the DAGs under them)
+   books that work to units / spf_full only.  So over a warm probe loop
+   their sum can never exceed the loop's own wall time, which also pays
+   for the dirty checks, undo and MLU scan that no timer covers. *)
+let test_hot_timers_disjoint () =
+  let g = Topology.Datasets.load "Germany50" in
+  let n = Digraph.node_count g and m = Digraph.edge_count g in
+  let w = Weights.inverse_capacity g in
+  let st = Random.State.make [| 0x7157 |] in
+  let demands =
+    Array.init 400 (fun _ ->
+        let s = Random.State.int st n in
+        let d = (s + 1 + Random.State.int st (n - 1)) mod n in
+        (s, d, float_of_int (1 + Random.State.int st 6)))
+  in
+  let stats = Engine.Stats.create () in
+  let ev = Engine.Evaluator.create ~stats g w in
+  Engine.Evaluator.set_commodities ev demands;
+  let mx = { Engine.Evaluator.mlu = 0.; phi = 0. } in
+  Engine.Evaluator.evaluate_into ev mx;
+  let pass () =
+    for e = 0 to m - 1 do
+      Engine.Evaluator.set_weight ev ~edge:e ((w.(e) *. 1.5) +. 1.);
+      Engine.Evaluator.evaluate_into ev mx;
+      Engine.Evaluator.undo ev
+    done
+  in
+  pass ();
+  let ht = Engine.Stats.hot_times stats in
+  let sum () =
+    ht.(Engine.Stats.hot_spf_full) +. ht.(Engine.Stats.hot_spf_incr)
+    +. ht.(Engine.Stats.hot_units) +. ht.(Engine.Stats.hot_loads)
+  in
+  let before = sum () in
+  let t0 = Engine.Mono.now () in
+  for _ = 1 to 3 do
+    pass ()
+  done;
+  let wall = Engine.Mono.now () -. t0 in
+  let timed = sum () -. before in
+  Alcotest.(check bool) "timers ran" true (timed > 0.);
+  if timed > wall +. 1e-9 then
+    Alcotest.failf "hot timers sum %.6fs > loop wall %.6fs" timed wall;
+  Array.iter
+    (fun x -> Alcotest.(check bool) "no negative slot" true (x >= 0.))
+    ht
+
 (* Link-flap round trip: a committed disable_edge must be durably
    revertible — enable_edge + commit restores bit-identical state
    (loads, metrics, reachability) with no rebuild.  This guards the
@@ -571,7 +619,11 @@ let () =
             test_local_search_incremental_stats;
         ] );
       ( "stats",
-        [ Alcotest.test_case "merge and json" `Quick test_stats_merge_and_json ] );
+        [
+          Alcotest.test_case "merge and json" `Quick test_stats_merge_and_json;
+          Alcotest.test_case "hot timers disjoint" `Quick
+            test_hot_timers_disjoint;
+        ] );
       ( "allocation",
         [
           Alcotest.test_case "probe loop allocation-free" `Quick
