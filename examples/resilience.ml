@@ -63,7 +63,7 @@ let () =
     fresh.Joint.mlu fresh_churn.Reopt.weight_changes
     fresh_churn.Reopt.waypoint_changes;
   let budgeted =
-    Reopt.reoptimize ~ls_params ~max_weight_changes:3
+    Reopt.reoptimize_ctx (Obs.Ctx.make ()) ~ls_params ~max_weight_changes:3
       ~deployed_weights:joint.Joint.int_weights
       ~deployed_waypoints:joint.Joint.waypoints g shifted
   in

@@ -24,6 +24,11 @@ type result = {
   churn : churn;
 }
 
+(* The probe memo is a flat [m x (memo_wmax + 1)] table; weights above
+   [memo_wmax] bypass it, so its size stays bounded whatever [wmax] is
+   (at the default [wmax = 16] it covers every weight up to 15k edges). *)
+let memo_cells = 1 lsl 18
+
 let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
     ?max_weight_changes ?(frozen_edges = []) ?ev ?prune
     ?(repick_waypoints = true) ~deployed_weights ~deployed_waypoints g demands =
@@ -31,18 +36,19 @@ let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
   let m = Digraph.edge_count g in
   if Array.length deployed_weights <> m then
     invalid_arg "Reopt.reoptimize: deployed weight length mismatch";
-  let frozen = Hashtbl.create 4 in
+  let frozen = Array.make m false in
   List.iter
     (fun e ->
       if e < 0 || e >= m then
         invalid_arg "Reopt.reoptimize: frozen edge outside the graph";
-      Hashtbl.replace frozen e ())
+      frozen.(e) <- true)
     frozen_edges;
   let budget =
     match max_weight_changes with Some b -> b | None -> max 1 (m / 10)
   in
   let st = Random.State.make [| ls_params.Local_search.seed; 0x4e09 |] in
   let wmax = ls_params.Local_search.wmax in
+  let max_evals = ls_params.Local_search.max_evals in
   (* One evaluator carries the whole budgeted search: the deployed
      waypoints are fixed, so the commodity list (one per segment) never
      changes, and every candidate weight is probed as an incremental
@@ -63,7 +69,9 @@ let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
   in
   (* Failed links are frozen at infinite weight: absent from every DAG,
      never a move candidate, committed so no undo restores them. *)
-  Hashtbl.iter (fun e () -> Engine.Evaluator.disable_edge ev ~edge:e) frozen;
+  Array.iteri
+    (fun e f -> if f then Engine.Evaluator.disable_edge ev ~edge:e)
+    frozen;
   Engine.Evaluator.commit ev;
   Engine.Evaluator.set_commodities ev
     (Network.to_commodities (Segments.expand demands deployed_waypoints));
@@ -78,15 +86,52 @@ let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
   let caps = Digraph.caps g in
   let cur_mlu = ref (eval_mlu ()) in
   let deployed_mlu = !cur_mlu in
-  let changed = Hashtbl.create 8 in
-  let changes () = Hashtbl.length changed in
+  let changed = Array.make m false and nchanged = ref 0 in
   let best_w = ref (Array.copy current) and best_mlu = ref !cur_mlu in
   let evals = ref 0 in
+  (* Exact probe memo: the MLU of moving edge e to weight w, valid for
+     one committed state ([gen] is bumped on every accepted move).  The
+     60% argmax pick keeps re-drawing the same congested edge with the
+     same deterministic candidates, and the evaluator re-sums cached
+     per-destination loads in a fixed order, so a repeated move from
+     the same state yields the same float — a hit returns it without
+     touching the evaluator.  A hit still spends one unit of
+     [max_evals], so the RNG stream and the accept sequence are those
+     of a memo-less search. *)
+  let memo_wmax = min wmax ((memo_cells / max 1 m) - 1) in
+  let cols = memo_wmax + 1 in
+  let memo = Array.make (m * cols) 0. and stamp = Array.make (m * cols) 0 in
+  let gen = ref 1 in
+  let probes = ref 0 and hits = ref 0 in
+  let probe e wv =
+    incr probes;
+    let k = (e * cols) + wv in
+    if wv <= memo_wmax && stamp.(k) = !gen then begin
+      incr hits;
+      memo.(k)
+    end
+    else begin
+      Engine.Evaluator.set_weight ev ~edge:e (float_of_int wv);
+      let mlu = eval_mlu () in
+      Engine.Evaluator.undo ev;
+      if wv <= memo_wmax then begin
+        stamp.(k) <- !gen;
+        memo.(k) <- mlu
+      end;
+      mlu
+    end
+  in
   (* Budgeted local search: a move on edge e is admissible if it keeps
      |{e : w_e <> deployed}| within the budget (reverting frees it). *)
-  Obs.Ctx.span ctx "reopt:weights" (fun () ->
-  while !evals < ls_params.Local_search.max_evals && not (Obs.Ctx.expired ctx)
-  do
+  let tracer = ctx.Obs.Ctx.tracer in
+  let tok = Obs.Tracer.start tracer "reopt:weights" in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Tracer.attr tracer tok (Obs.Attr.int "probes" !probes);
+      Obs.Tracer.attr tracer tok (Obs.Attr.int "hits" !hits);
+      Obs.Tracer.finish tracer tok)
+    (fun () ->
+  while !evals < max_evals && not (Obs.Ctx.expired ctx) do
     let e =
       if Random.State.float st 1. < 0.6 then begin
         (* Most utilized edge under the current weights — the engine's
@@ -95,7 +140,7 @@ let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
         let arg = ref 0 and best = ref neg_infinity in
         for e = 0 to m - 1 do
           let u = loads.(e) /. caps.(e) in
-          if u > !best && not (Hashtbl.mem frozen e) then begin
+          if u > !best && not frozen.(e) then begin
             best := u;
             arg := e
           end
@@ -105,8 +150,7 @@ let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
       else Random.State.int st m
     in
     let admissible =
-      (not (Hashtbl.mem frozen e))
-      && (Hashtbl.mem changed e || changes () < budget)
+      (not frozen.(e)) && (changed.(e) || !nchanged < budget)
     in
     if admissible then begin
       let old = current.(e) in
@@ -120,11 +164,9 @@ let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
       let best_cand = ref None in
       List.iter
         (fun wv ->
-          if !evals < ls_params.Local_search.max_evals then begin
+          if !evals < max_evals then begin
             incr evals;
-            Engine.Evaluator.set_weight ev ~edge:e (float_of_int wv);
-            let mlu = eval_mlu () in
-            Engine.Evaluator.undo ev;
+            let mlu = probe e wv in
             match !best_cand with
             | Some (bm, _) when bm <= mlu -> ()
             | _ -> best_cand := Some (mlu, wv)
@@ -135,9 +177,13 @@ let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
         current.(e) <- wv;
         Engine.Evaluator.set_weight ev ~edge:e (float_of_int wv);
         Engine.Evaluator.commit ev;
+        incr gen;
         cur_mlu := mlu;
-        if wv = deployed_weights.(e) then Hashtbl.remove changed e
-        else Hashtbl.replace changed e ();
+        let now_changed = wv <> deployed_weights.(e) in
+        if now_changed <> changed.(e) then begin
+          changed.(e) <- now_changed;
+          if now_changed then incr nchanged else decr nchanged
+        end;
         if mlu < !best_mlu -. 1e-12 then begin
           best_mlu := mlu;
           best_w := Array.copy current
@@ -146,6 +192,8 @@ let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
     end
     else incr evals
   done);
+  Obs.Metrics.incr ctx.Obs.Ctx.metrics ~by:!probes "reopt.probes";
+  Obs.Metrics.incr ctx.Obs.Ctx.metrics ~by:!hits "reopt.probe_hits";
   (* Waypoint step: re-pick greedily under the new weights (not
      budgeted; segment-stack changes are local to ingresses).  Skipped
      when the caller pins the deployed waypoints ([repick_waypoints] is
@@ -154,7 +202,7 @@ let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
     if not repick_waypoints then []
     else begin
       let best_w_float = Weights.of_ints !best_w in
-      Hashtbl.iter (fun e () -> best_w_float.(e) <- infinity) frozen;
+      Array.iteri (fun e f -> if f then best_w_float.(e) <- infinity) frozen;
       let wpo =
         Obs.Ctx.span ctx "reopt:waypoints" (fun () ->
             Greedy_wpo.optimize_ctx ctx ?prune g best_w_float demands)
@@ -176,8 +224,3 @@ let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
   in
   { weights; waypoints; mlu;
     churn = churn_between ~deployed_weights ~deployed_waypoints weights waypoints }
-
-let reoptimize ?stats ?ls_params ?max_weight_changes ?frozen_edges
-    ~deployed_weights ~deployed_waypoints g demands =
-  reoptimize_ctx (Obs.Ctx.make ?stats ()) ?ls_params ?max_weight_changes
-    ?frozen_edges ~deployed_weights ~deployed_waypoints g demands

@@ -7,7 +7,7 @@
     network-wide reconvergence, so operators prefer settings that are
     close to the deployed ones.
 
-    [reoptimize] runs a budgeted variant of the HeurOSPF local search
+    {!reoptimize_ctx} runs a budgeted variant of the HeurOSPF local search
     whose moves are restricted to at most [max_weight_changes] links
     away from the deployed setting, then re-picks waypoints greedily
     (waypoint changes are cheap — they only touch ingress segment
@@ -51,7 +51,18 @@ val reoptimize_ctx :
     the deployed setting as-is.  The budgeted weight search is recorded
     as a ["reopt:weights"] span and the greedy waypoint re-pick as
     ["reopt:waypoints"]; a context deadline stops the weight search
-    early (the waypoint step always runs).  The context's pool
+    early (the waypoint step always runs).
+
+    [ls_params.max_evals] bounds the candidate probes the weight search
+    considers, memo hits included: each (edge, weight) move is
+    evaluated at most once per committed state and a repeat returns the
+    remembered MLU without touching the evaluator, but still spends one
+    unit of the budget — so the random stream, the accepted moves and
+    the result are exactly those of a search that re-evaluates every
+    repeat.  The ["reopt:weights"] span carries [probes] (candidates
+    considered) and [hits] (of those, answered by the memo) attributes,
+    and the context's metrics gain the same totals as the
+    [reopt.probes] / [reopt.probe_hits] counters.  The context's pool
     parallelizes the waypoint scan as in {!Greedy_wpo.optimize_ctx}.
 
     [ev] supplies a warm evaluator built on the same graph (physical
@@ -65,29 +76,6 @@ val reoptimize_ctx :
     {!Prune}); [repick_waypoints] (default [true]) set to [false] skips
     the waypoint step entirely and keeps the deployed waypoints — the
     cheap mode for latency-bound weight-only ticks.
-
-    [frozen_edges] (default none) marks failed links: they are pinned at
-    infinite weight for every evaluation — equivalent to removal, see
-    {!Engine.Evaluator.disable_edge} — and are never move candidates, so
-    the search re-optimizes the surviving topology.  The returned weight
-    vector keeps the deployed values on frozen edges (a failed link's
-    weight is unobservable), so they never count as churn.  Every demand
-    (segment) must remain routable without the frozen edges; otherwise
-    {!Engine.Evaluator.Unroutable} is raised — callers sweeping failure
-    scenarios should test reachability first (the scenario layer skips
-    re-optimization for disconnecting failures). *)
-
-val reoptimize :
-  ?stats:Engine.Stats.t ->
-  ?ls_params:Local_search.params ->
-  ?max_weight_changes:int ->
-  ?frozen_edges:int list ->
-  deployed_weights:int array ->
-  deployed_waypoints:Segments.setting ->
-  Netgraph.Digraph.t ->
-  Network.demand array ->
-  result
-(** Deprecated optional-argument shim over {!reoptimize_ctx}.
 
     [frozen_edges] (default none) marks failed links: they are pinned at
     infinite weight for every evaluation — equivalent to removal, see

@@ -621,7 +621,7 @@ let test_reopt_never_worse () =
       net.Network.demands
   in
   let r =
-    Reopt.reoptimize
+    Reopt.reoptimize_ctx (Obs.Ctx.make ())
       ~ls_params:{ Local_search.default_params with max_evals = 150; seed = 3 }
       ~max_weight_changes:3 ~deployed_weights:deployed
       ~deployed_waypoints:deployed_wps g net.Network.demands
@@ -649,7 +649,7 @@ let test_reopt_zero_budget_keeps_weights () =
   let demands = [| Network.demand 0 3 4. |] in
   let deployed = [| 1; 1; 2; 2 |] in
   let r =
-    Reopt.reoptimize
+    Reopt.reoptimize_ctx (Obs.Ctx.make ())
       ~ls_params:{ Local_search.default_params with max_evals = 80; seed = 1 }
       ~max_weight_changes:0 ~deployed_weights:deployed
       ~deployed_waypoints:(Segments.none demands) g demands
@@ -666,7 +666,7 @@ let test_reopt_frozen_edges () =
   let deployed = [| 1; 1; 1; 1; 1; 1; 1; 1 |] in
   let frozen = [ 0; 1 ] in
   let r =
-    Reopt.reoptimize
+    Reopt.reoptimize_ctx (Obs.Ctx.make ())
       ~ls_params:{ Local_search.default_params with max_evals = 120; seed = 2 }
       ~max_weight_changes:2 ~frozen_edges:frozen ~deployed_weights:deployed
       ~deployed_waypoints:(Segments.none demands) g demands
